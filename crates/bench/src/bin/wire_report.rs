@@ -1,18 +1,14 @@
-//! Wire data-plane report: lock-step JSON versus the binary pipelined
-//! wire (ISSUE PR 10), over real TCP with concurrent tenants.
+//! Wire data-plane report: lock-step versus pipelined issue over real
+//! TCP with concurrent tenants.
 //!
-//! Four rows, written to `BENCH_wire.json` at the repository root:
+//! Three rows, written to `BENCH_wire.json` at the repository root:
+//! `issue_pipelined` with an in-flight window of 1 (the lock-step
+//! baseline: one round trip per command), 8 and 32. Writes coalesce
+//! into one send per window.
 //!
-//! * **json / depth 1** — the PR 8 baseline: lock-step JSON frames,
-//!   one round trip per command (`RemoteSession::issue`).
-//! * **binary / depth 1, 8, 32** — the columnar binary codec driven
-//!   through `issue_pipelined` with the given in-flight window; writes
-//!   coalesce into one send per window.
-//!
-//! Latency for the pipelined rows is the *amortized* per-command cost
-//! of a full window (window wall time / window size) — the number a
-//! campaign actually pays per command, comparable to the lock-step
-//! round trip.
+//! Latency is the *amortized* per-command cost of a full window
+//! (window wall time / window size) — the number a campaign actually
+//! pays per command; at depth 1 it is the round trip.
 //!
 //! Scale with `WIRE_TENANTS` (default 4) and `WIRE_CMDS` (default
 //! 200; CI smoke uses less).
@@ -23,7 +19,6 @@ use std::time::{Duration, Instant};
 use rad_core::{Command, CommandType};
 use rad_middlebox::rpc::RetryPolicy;
 use rad_middlebox::server::{LabService, ServerConfig, SocketTransport};
-use rad_middlebox::WireCodecKind;
 use rad_workloads::RemoteSession;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -59,7 +54,6 @@ fn percentile_us(sorted: &[u64], p: f64) -> u64 {
 }
 
 struct Row {
-    codec: WireCodecKind,
     depth: usize,
     per_s: f64,
     p50_us: u64,
@@ -68,8 +62,8 @@ struct Row {
 }
 
 /// Runs one matrix row: a fresh server, `tenants` concurrent client
-/// legs, `cmds` commands each, over the given codec and window depth.
-fn run_row(tenants: usize, cmds: usize, codec: WireCodecKind, depth: usize) -> Row {
+/// legs, `cmds` commands each, at the given window depth.
+fn run_row(tenants: usize, cmds: usize, depth: usize) -> Row {
     let handle = LabService::new(ServerConfig {
         max_sessions: tenants.max(1),
         backlog: tenants.max(1),
@@ -87,29 +81,21 @@ fn run_row(tenants: usize, cmds: usize, codec: WireCodecKind, depth: usize) -> R
             std::thread::spawn(move || {
                 let transport = SocketTransport::connect_tcp(&addr).expect("connect");
                 let mut session =
-                    RemoteSession::connect_with(transport, &format!("tenant-{t}"), policy(), codec)
+                    RemoteSession::connect(transport, &format!("tenant-{t}"), policy())
                         .expect("hello");
                 let commands: Vec<Command> = (0..cmds).map(command).collect();
+                let refs: Vec<&Command> = commands.iter().collect();
                 let mut lat_us = Vec::with_capacity(cmds);
-                if depth <= 1 && codec == WireCodecKind::Json {
-                    for cmd in &commands {
-                        let at = Instant::now();
-                        session.issue(cmd).expect("issue").expect("no fault");
-                        lat_us.push(at.elapsed().as_micros() as u64);
-                    }
-                } else {
-                    let refs: Vec<&Command> = commands.iter().collect();
-                    for window in refs.chunks(depth) {
-                        let at = Instant::now();
-                        let results = session
-                            .issue_pipelined(window, depth)
-                            .unwrap_or_else(|e| panic!("pipelined window failed: {}", e.error));
-                        let amortized =
-                            (at.elapsed().as_micros() as u64 / window.len().max(1) as u64).max(1);
-                        for result in &results {
-                            result.as_ref().expect("no fault");
-                            lat_us.push(amortized);
-                        }
+                for window in refs.chunks(depth) {
+                    let at = Instant::now();
+                    let results = session
+                        .issue_pipelined(window, depth)
+                        .unwrap_or_else(|e| panic!("pipelined window failed: {}", e.error));
+                    let amortized =
+                        (at.elapsed().as_micros() as u64 / window.len().max(1) as u64).max(1);
+                    for result in &results {
+                        result.as_ref().expect("no fault");
+                        lat_us.push(amortized);
                     }
                 }
                 session.bye().expect("bye");
@@ -136,7 +122,6 @@ fn run_row(tenants: usize, cmds: usize, codec: WireCodecKind, depth: usize) -> R
         lat_us.iter().sum::<u64>() as f64 / lat_us.len() as f64
     };
     Row {
-        codec,
         depth,
         per_s: lat_us.len() as f64 / wall.as_secs_f64(),
         p50_us: percentile_us(&lat_us, 0.50),
@@ -149,15 +134,10 @@ fn main() {
     let tenants = env_usize("WIRE_TENANTS", 4);
     let cmds = env_usize("WIRE_CMDS", 200);
 
-    let rows: Vec<Row> = [
-        (WireCodecKind::Json, 1usize),
-        (WireCodecKind::Binary, 1),
-        (WireCodecKind::Binary, 8),
-        (WireCodecKind::Binary, 32),
-    ]
-    .into_iter()
-    .map(|(codec, depth)| run_row(tenants, cmds, codec, depth))
-    .collect();
+    let rows: Vec<Row> = [1, 8, 32]
+        .into_iter()
+        .map(|depth| run_row(tenants, cmds, depth))
+        .collect();
 
     let baseline = rows[0].per_s;
     println!(
@@ -167,7 +147,7 @@ fn main() {
     for row in &rows {
         println!(
             "{:<24} {:>12} {:>9} {:>9} {:>9.1} {:>7.2}x",
-            format!("{} depth {}", row.codec.as_name(), row.depth),
+            format!("depth {}", row.depth),
             format!("{:.0}", row.per_s),
             row.p50_us,
             row.p99_us,
@@ -184,14 +164,13 @@ fn main() {
     out.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str("    {\n");
-        out.push_str(&format!("      \"codec\": \"{}\",\n", row.codec.as_name()));
         out.push_str(&format!("      \"pipeline_depth\": {},\n", row.depth));
         out.push_str(&format!("      \"issues_per_s\": {:.0},\n", row.per_s));
         out.push_str(&format!("      \"p50_us\": {},\n", row.p50_us));
         out.push_str(&format!("      \"p99_us\": {},\n", row.p99_us));
         out.push_str(&format!("      \"mean_us\": {:.1},\n", row.mean_us));
         out.push_str(&format!(
-            "      \"speedup_vs_json\": {:.2}\n",
+            "      \"speedup_vs_lock_step\": {:.2}\n",
             row.per_s / baseline.max(1.0)
         ));
         out.push_str(if i + 1 == rows.len() {

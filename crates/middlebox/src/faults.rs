@@ -641,6 +641,10 @@ impl<T: Transport> Transport for Faulty<T> {
     fn recv_blocking(&self) -> Option<Bytes> {
         Faulty::recv_blocking(self)
     }
+
+    fn keeps_chunk_boundaries(&self) -> bool {
+        self.inner.keeps_chunk_boundaries()
+    }
 }
 
 /// Declarative form of a [`FaultPlan`] — the `faults` section of a

@@ -42,10 +42,9 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rad_core::{spec, Command, RadError, Value};
 use rad_devices::LabRig;
-use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultStats;
-use crate::wire::{self, WireCodecKind};
+use crate::wire;
 
 /// Maximum accepted frame size (defensive bound against corrupt length
 /// prefixes).
@@ -211,10 +210,20 @@ pub trait Transport {
     /// Receives the next chunk, blocking until the peer sends or
     /// disconnects. Returns `None` on disconnect.
     fn recv_blocking(&self) -> Option<Bytes>;
+
+    /// Whether every received chunk is exactly one chunk the peer
+    /// sent, so each chunk starts on a frame boundary. [`Duplex`]
+    /// keeps chunk boundaries; a socket is a byte stream and does not
+    /// (the default). Over a boundary-keeping transport, bytes left
+    /// from the previous chunk can only be a frame whose length prefix
+    /// was damaged in flight, and endpoints drop them.
+    fn keeps_chunk_boundaries(&self) -> bool {
+        false
+    }
 }
 
 /// A request frame: one command invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RpcRequest {
     /// Client-assigned correlation id, doubling as the idempotency
     /// token: retries reuse the id, and the server replays the cached
@@ -224,32 +233,8 @@ pub struct RpcRequest {
     pub command: Command,
 }
 
-/// A borrowed [`RpcRequest`]: serializes byte-identically to the owned
-/// form without cloning the command — the wire path's per-issue
-/// `command.clone()` deleted.
-///
-/// Hand-implemented `Serialize` because the derive shim rejects
-/// lifetime parameters; the unit test
-/// `borrowed_request_serializes_identically` pins the equivalence.
-#[derive(Debug, Clone, Copy)]
-pub struct RpcRequestRef<'a> {
-    /// Client-assigned correlation / idempotency id.
-    pub id: u64,
-    /// The command to execute on the rig.
-    pub command: &'a Command,
-}
-
-impl Serialize for RpcRequestRef<'_> {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            ("id".to_owned(), self.id.to_content()),
-            ("command".to_owned(), self.command.to_content()),
-        ])
-    }
-}
-
 /// A response frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RpcResponse {
     /// Echoed correlation id.
     pub id: u64,
@@ -490,6 +475,10 @@ impl Transport for Duplex {
     fn recv_blocking(&self) -> Option<Bytes> {
         Duplex::recv_blocking(self)
     }
+
+    fn keeps_chunk_boundaries(&self) -> bool {
+        true
+    }
 }
 
 /// The middlebox's RPC server loop.
@@ -500,8 +489,10 @@ impl Transport for Duplex {
 /// request ids replays cached responses for retried requests, so a
 /// retry can never double-execute a device command. Undecodable bytes
 /// (corrupt frames, garbage requests) are discarded and the codec
-/// resynchronized — the affected caller times out and retries, rather
-/// than one corrupt chunk killing the connection for everyone.
+/// resynchronized at the next chunk, which on the in-process transports
+/// this loop runs over always starts a frame — the affected caller
+/// times out and retries, rather than one corrupt chunk killing the
+/// connection for everyone.
 #[derive(Debug)]
 pub struct RpcServer;
 
@@ -532,9 +523,8 @@ impl RpcServer {
     ///
     /// Each received chunk may carry several frames (a pipelined
     /// client coalesces its window into one write); the loop decodes
-    /// them all — binary or JSON, per frame — and answers with one
-    /// coalesced reply chunk, so a depth-N window costs two syscalls
-    /// instead of 2N.
+    /// them all and answers with one coalesced reply chunk, so a
+    /// depth-N window costs two syscalls instead of 2N.
     pub fn spawn_with_capacity<T>(
         mut rig: LabRig,
         transport: T,
@@ -552,6 +542,13 @@ impl RpcServer {
             let mut scratch: Vec<u8> = Vec::new();
             let mut batch: Vec<u8> = Vec::new();
             while let Some(chunk) = transport.recv_blocking() {
+                // Bytes left from the previous chunk of a
+                // boundary-keeping transport are a frame whose length
+                // prefix was damaged in flight: drop them instead of
+                // letting them swallow the retries that follow.
+                if transport.keeps_chunk_boundaries() {
+                    codec.reset();
+                }
                 codec.push(&chunk);
                 batch.clear();
                 loop {
@@ -586,18 +583,7 @@ impl RpcServer {
                         .map_err(|fault| fault.to_string());
                     scratch.clear();
                     let start = FrameCodec::begin_frame(&mut scratch);
-                    if wire::is_binary(&frame) {
-                        // Reply in the codec the request arrived in.
-                        wire::encode_rpc_response(&mut scratch, request.id, &result);
-                    } else {
-                        let response = RpcResponse {
-                            id: request.id,
-                            result,
-                        };
-                        let payload =
-                            serde_json::to_vec(&response).expect("responses always serialize");
-                        scratch.extend_from_slice(&payload);
-                    }
+                    wire::encode_rpc_response(&mut scratch, request.id, &result);
                     FrameCodec::finish_frame(&mut scratch, start);
                     let framed = Bytes::copy_from_slice(&scratch);
                     batch.extend_from_slice(&framed);
@@ -740,7 +726,6 @@ pub struct RpcClient<T: Transport = Duplex> {
     codec: FrameCodec,
     next_id: u64,
     stats: FaultStats,
-    codec_kind: WireCodecKind,
     scratch: Vec<u8>,
 }
 
@@ -752,7 +737,6 @@ impl<T: Transport> RpcClient<T> {
             codec: FrameCodec::new(),
             next_id: 0,
             stats: FaultStats::new(),
-            codec_kind: WireCodecKind::default(),
             scratch: Vec::new(),
         }
     }
@@ -763,20 +747,6 @@ impl<T: Transport> RpcClient<T> {
     pub fn with_stats(mut self, stats: FaultStats) -> Self {
         self.stats = stats;
         self
-    }
-
-    /// Selects the wire codec for requests (default JSON). The server
-    /// detects the codec per frame and replies in kind, so no
-    /// handshake is needed — see [`crate::wire`].
-    #[must_use]
-    pub fn with_codec(mut self, codec: WireCodecKind) -> Self {
-        self.codec_kind = codec;
-        self
-    }
-
-    /// The wire codec this client sends.
-    pub fn codec_kind(&self) -> WireCodecKind {
-        self.codec_kind
     }
 
     /// Sends `command` and blocks for its response — a single attempt,
@@ -822,7 +792,7 @@ impl<T: Transport> RpcClient<T> {
             }
             // Send failures are terminal (disconnect).
             self.scratch.clear();
-            self.encode_request(id, command)?;
+            self.encode_request(id, command);
             self.flush_scratch()?;
             let wait = remaining.min(policy.attempt_timeout);
             match self.await_result(id, wait) {
@@ -881,7 +851,7 @@ impl<T: Transport> RpcClient<T> {
             if pending.len() < depth && next < commands.len() {
                 self.scratch.clear();
                 while pending.len() < depth && next < commands.len() {
-                    self.encode_request(ids[next], &commands[next])?;
+                    self.encode_request(ids[next], &commands[next]);
                     pending.push_back(next);
                     next += 1;
                 }
@@ -914,7 +884,7 @@ impl<T: Transport> RpcClient<T> {
                     // duplicates replay from the server's dedup cache.
                     self.scratch.clear();
                     for &i in &pending {
-                        self.encode_request(ids[i], &commands[i])?;
+                        self.encode_request(ids[i], &commands[i]);
                     }
                     self.flush_scratch()?;
                 }
@@ -927,21 +897,12 @@ impl<T: Transport> RpcClient<T> {
             .collect())
     }
 
-    /// Appends one framed request to the scratch buffer in the
-    /// session's codec — no allocation on the binary path, no command
-    /// clone on either.
-    fn encode_request(&mut self, id: u64, command: &Command) -> Result<(), RadError> {
+    /// Appends one framed request to the scratch buffer, borrowing the
+    /// command: no allocation, no clone.
+    fn encode_request(&mut self, id: u64, command: &Command) {
         let start = FrameCodec::begin_frame(&mut self.scratch);
-        match self.codec_kind {
-            WireCodecKind::Binary => wire::encode_rpc_request(&mut self.scratch, id, command),
-            WireCodecKind::Json => {
-                let payload = serde_json::to_vec(&RpcRequestRef { id, command })
-                    .map_err(|e| RadError::Rpc(format!("encode failure: {e}")))?;
-                self.scratch.extend_from_slice(&payload);
-            }
-        }
+        wire::encode_rpc_request(&mut self.scratch, id, command);
         FrameCodec::finish_frame(&mut self.scratch, start);
-        Ok(())
     }
 
     /// Sends the accumulated scratch frames as one chunk.
@@ -990,6 +951,11 @@ impl<T: Transport> RpcClient<T> {
                 return Err(RadError::RpcTimeout("receive timed out".into()));
             }
             let chunk = self.transport.recv(remaining)?;
+            // Only an incomplete frame can be buffered here. If chunks
+            // keep their boundaries it was damaged in flight.
+            if self.transport.keeps_chunk_boundaries() {
+                self.codec.reset();
+            }
             self.codec.push(&chunk);
         }
     }
@@ -1390,15 +1356,22 @@ mod tests {
 
     #[test]
     fn malformed_request_is_discarded_not_fatal() {
+        let stats = FaultStats::new();
         let (client_side, server_side) = Duplex::pair();
-        let _server = RpcServer::spawn(LabRig::new(0), server_side);
-        client_side.send(FrameCodec::encode(b"not json")).unwrap();
+        let _server = RpcServer::spawn_with_stats(LabRig::new(0), server_side, stats.clone());
+        // Plain garbage, and a well-formed JSON request of the retired
+        // JSON codec: neither is a frame, so neither executes.
+        let json_request = br#"{"id":9,"command":{"command_type":"InitC9","args":[]}}"#;
+        for garbage in [&b"not json at all"[..], json_request] {
+            client_side.send(FrameCodec::encode(garbage)).unwrap();
+        }
         // The server discards the garbage and keeps serving: a valid
         // call on the same connection still succeeds.
         let mut client = RpcClient::new(client_side);
         client
             .call(&Command::nullary(CommandType::InitIka), T)
             .unwrap();
+        assert_eq!(stats.snapshot().executions, 1, "only the valid call ran");
     }
 
     #[test]
@@ -1411,11 +1384,8 @@ mod tests {
             .call(&Command::nullary(CommandType::InitC9), T)
             .unwrap();
         // Re-send the same request id by hand, as a retry would.
-        let request = RpcRequest {
-            id: 0,
-            command: Command::nullary(CommandType::InitC9),
-        };
-        let payload = serde_json::to_vec(&request).unwrap();
+        let mut payload = Vec::new();
+        wire::encode_rpc_request(&mut payload, 0, &Command::nullary(CommandType::InitC9));
         client.transport.send(FrameCodec::encode(&payload)).unwrap();
         // The replayed response arrives without a second execution.
         let replay = client.transport.recv(T).unwrap();
@@ -1423,30 +1393,6 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.executions, 1, "{snap}");
         assert_eq!(snap.dedup_hits, 1, "{snap}");
-    }
-
-    #[test]
-    fn borrowed_request_serializes_identically() {
-        let command = Command::new(
-            CommandType::Arm,
-            vec![Value::Location {
-                x: 1.0,
-                y: 2.0,
-                z: 3.0,
-            }],
-        );
-        let owned = RpcRequest {
-            id: 99,
-            command: command.clone(),
-        };
-        let borrowed = RpcRequestRef {
-            id: 99,
-            command: &command,
-        };
-        assert_eq!(
-            serde_json::to_vec(&owned).unwrap(),
-            serde_json::to_vec(&borrowed).unwrap()
-        );
     }
 
     #[test]
@@ -1501,27 +1447,11 @@ mod tests {
     }
 
     #[test]
-    fn binary_codec_calls_execute_on_the_rig() {
-        let (client_side, server_side) = Duplex::pair();
-        let server = RpcServer::spawn(LabRig::new(0), server_side);
-        let mut client = RpcClient::new(client_side).with_codec(WireCodecKind::Binary);
-        client
-            .call(&Command::nullary(CommandType::InitC9), T)
-            .unwrap();
-        client
-            .call(&Command::nullary(CommandType::Home), T)
-            .unwrap();
-        drop(client);
-        let rig = server.join().unwrap();
-        assert!(rig.c9().is_homed());
-    }
-
-    #[test]
     fn pipelined_batch_matches_lock_step_results() {
         let run = |pipelined: bool| -> Vec<Result<Value, String>> {
             let (client_side, server_side) = Duplex::pair();
             let _server = RpcServer::spawn(LabRig::new(0), server_side);
-            let mut client = RpcClient::new(client_side).with_codec(WireCodecKind::Binary);
+            let mut client = RpcClient::new(client_side);
             let commands = vec![
                 Command::nullary(CommandType::InitC9),
                 Command::nullary(CommandType::Home),

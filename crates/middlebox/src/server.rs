@@ -58,7 +58,6 @@ use rad_core::{
     Value,
 };
 use rad_store::{DurableOptions, DurableStore};
-use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultPlan;
 use crate::middlebox::Middlebox;
@@ -243,7 +242,7 @@ impl Transport for SocketTransport {
 // ---------------------------------------------------------------------------
 
 /// One client → server message body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WireRequest {
     /// Binds the session to a tenant. Must be the first request; the
     /// reply's cursor is what makes kill-and-reconnect resume exact.
@@ -290,7 +289,7 @@ pub enum WireRequest {
 }
 
 /// One server → client reply body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WireReply {
     /// Session bound. `issues_done` is the tenant's resume cursor: how
     /// many `Issue` requests have executed across all sessions.
@@ -334,7 +333,7 @@ pub enum WireReply {
 /// A client request envelope: correlation id + body. Ids double as
 /// idempotency tokens — a retry reuses its id and the server replays
 /// the cached reply instead of re-executing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WireFrame {
     /// Client-assigned correlation / idempotency id.
     pub id: u64,
@@ -343,7 +342,7 @@ pub struct WireFrame {
 }
 
 /// A server reply envelope.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplyFrame {
     /// Echoed correlation id (`0` for pre-session rejects).
     pub id: u64,
@@ -351,41 +350,12 @@ pub struct ReplyFrame {
     pub body: WireReply,
 }
 
-/// Encodes one reply as a wire frame.
-fn encode_reply(id: u64, body: WireReply) -> Bytes {
-    let payload = serde_json::to_vec(&ReplyFrame { id, body }).expect("replies always serialize");
-    FrameCodec::encode(&payload)
-}
-
-/// Borrowed twin of [`ReplyFrame`]: serializes identically without
-/// taking the reply body by value, so the hot path encodes straight
-/// from the handler's stack frame.
-struct ReplyFrameRef<'a> {
-    id: u64,
-    body: &'a WireReply,
-}
-
-impl Serialize for ReplyFrameRef<'_> {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            ("id".to_owned(), self.id.to_content()),
-            ("body".to_owned(), self.body.to_content()),
-        ])
-    }
-}
-
-/// Appends one framed reply to `batch` in the requested codec, without
-/// intermediate allocation. Returns the offset where the frame starts,
-/// so callers can snapshot the framed bytes for the dedup cache.
-fn append_reply(batch: &mut Vec<u8>, id: u64, body: &WireReply, binary: bool) -> usize {
+/// Appends one framed reply to `batch`, without intermediate
+/// allocation. Returns the offset where the frame starts, so callers
+/// can snapshot the framed bytes for the dedup cache.
+fn append_reply(batch: &mut Vec<u8>, id: u64, body: &WireReply) -> usize {
     let start = FrameCodec::begin_frame(batch);
-    if binary {
-        wire::encode_reply_frame(batch, id, body);
-    } else {
-        let payload =
-            serde_json::to_vec(&ReplyFrameRef { id, body }).expect("replies always serialize");
-        batch.extend_from_slice(&payload);
-    }
+    wire::encode_reply_frame(batch, id, body);
     FrameCodec::finish_frame(batch, start);
     start
 }
@@ -949,9 +919,11 @@ impl LabService {
 /// the connection.
 fn reject_raw(mut stream: SocketStream, reason: &str) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let frame = encode_reply(
+    let mut frame = Vec::new();
+    append_reply(
+        &mut frame,
         0,
-        WireReply::Rejected {
+        &WireReply::Rejected {
             reason: reason.to_string(),
         },
     );
@@ -1073,7 +1045,6 @@ impl SessionContext {
                                     &WireReply::Failed {
                                         message: "framing lost; session quarantined".into(),
                                     },
-                                    false,
                                 );
                                 close = Some(SessionEnd::Quarantined);
                                 break;
@@ -1104,10 +1075,6 @@ impl SessionContext {
         batch: &mut Vec<u8>,
         tenant: &mut Option<Arc<Tenant>>,
     ) -> FrameOutcome {
-        // The first payload byte names the codec, so binary and JSON
-        // clients coexist per frame; every reply echoes the codec its
-        // request arrived in.
-        let binary = wire::is_binary(frame);
         let Ok(request) = wire::decode_wire_frame(frame) else {
             // A well-framed but undecodable payload: the frame
             // boundary is still sound, so skip exactly this frame —
@@ -1118,9 +1085,7 @@ impl SessionContext {
         };
         let id = request.id;
         match request.body {
-            WireRequest::Hello { tenant: name } => {
-                self.handle_hello(id, &name, binary, batch, tenant)
-            }
+            WireRequest::Hello { tenant: name } => self.handle_hello(id, &name, batch, tenant),
             body => {
                 let Some(tenant) = tenant.as_ref() else {
                     append_reply(
@@ -1129,11 +1094,10 @@ impl SessionContext {
                         &WireReply::Failed {
                             message: "request before Hello".into(),
                         },
-                        binary,
                     );
                     return FrameOutcome::Close(SessionEnd::Quarantined);
                 };
-                self.handle_bound(id, body, received, binary, batch, tenant)
+                self.handle_bound(id, body, received, batch, tenant)
             }
         }
     }
@@ -1142,7 +1106,6 @@ impl SessionContext {
         &self,
         id: u64,
         name: &str,
-        binary: bool,
         batch: &mut Vec<u8>,
         tenant: &mut Option<Arc<Tenant>>,
     ) -> FrameOutcome {
@@ -1167,7 +1130,6 @@ impl SessionContext {
                             &WireReply::Failed {
                                 message: format!("tenant open failed: {e}"),
                             },
-                            binary,
                         );
                         return FrameOutcome::Close(SessionEnd::Disconnected);
                     }
@@ -1186,7 +1148,6 @@ impl SessionContext {
                 &WireReply::Rejected {
                     reason: format!("tenant `{name}` already has an active session"),
                 },
-                binary,
             );
             return FrameOutcome::Close(SessionEnd::Disconnected);
         }
@@ -1207,7 +1168,6 @@ impl SessionContext {
                 session,
                 issues_done,
             },
-            binary,
         );
         FrameOutcome::Continue
     }
@@ -1217,15 +1177,13 @@ impl SessionContext {
         id: u64,
         body: WireRequest,
         received: Instant,
-        binary: bool,
         batch: &mut Vec<u8>,
         tenant: &Arc<Tenant>,
     ) -> FrameOutcome {
         let mut state = tenant.state.lock();
         if let Some(cached) = state.dedup.get(id) {
             self.stats.note_dedup_hit();
-            // Cached replies are shared `Bytes`, already framed in the
-            // codec of the original request.
+            // Cached replies are shared `Bytes`, already framed.
             batch.extend_from_slice(&cached);
             return FrameOutcome::Continue;
         }
@@ -1327,7 +1285,7 @@ impl SessionContext {
         // Expired replies are not cached: the retry re-evaluates with
         // a fresh budget instead of being stuck with the stale verdict.
         let cacheable = !matches!(reply, WireReply::Expired);
-        let start = append_reply(batch, id, &reply, binary);
+        let start = append_reply(batch, id, &reply);
         if cacheable {
             let framed = Bytes::copy_from_slice(&batch[start..]);
             for _ in 0..state.dedup.insert(id, framed) {
@@ -1540,16 +1498,23 @@ mod tests {
         fn request(&mut self, body: WireRequest) -> WireReply {
             let id = self.next_id;
             self.next_id += 1;
-            let payload = serde_json::to_vec(&WireFrame { id, body }).unwrap();
-            self.transport.send(FrameCodec::encode(&payload)).unwrap();
+            self.send(id, &body);
             self.await_reply(id)
+        }
+
+        fn send(&self, id: u64, body: &WireRequest) {
+            let mut frame = Vec::new();
+            let start = FrameCodec::begin_frame(&mut frame);
+            wire::encode_wire_frame(&mut frame, id, body);
+            FrameCodec::finish_frame(&mut frame, start);
+            self.transport.send(Bytes::from(frame)).unwrap();
         }
 
         fn await_reply(&mut self, id: u64) -> WireReply {
             let deadline = Instant::now() + Duration::from_secs(10);
             loop {
                 if let Ok(Some(frame)) = self.codec.next_frame() {
-                    let reply: ReplyFrame = serde_json::from_slice(&frame).unwrap();
+                    let reply = wire::decode_reply_frame(&frame).unwrap();
                     if reply.id == id {
                         return reply.body;
                     }
@@ -1859,15 +1824,18 @@ mod tests {
         let mut client = TestClient::connect_tcp(addr);
         client.hello("alice");
         // Well-framed garbage: the frame is skipped, the session
-        // lives, and the next valid request succeeds.
-        client
-            .transport
-            .send(FrameCodec::encode(b"not json at all"))
-            .unwrap();
+        // lives, and the next valid request succeeds. A well-formed
+        // JSON request of the retired JSON codec is garbage too: it is
+        // skipped without executing.
+        let json_issue = br#"{"id":1,"body":{"Issue":{"deadline_ms":0,"command":{"command_type":"InitC9","args":[]}}}}"#;
+        for garbage in [&b"not json at all"[..], json_issue] {
+            client.transport.send(FrameCodec::encode(garbage)).unwrap();
+        }
         assert!(matches!(
             client.issue(CommandType::InitC9),
             WireReply::Done { fault: None, .. }
         ));
+        assert_eq!(server.stats().issues(), 1, "only the valid issue ran");
         drop(client);
         server.drain().unwrap();
     }
@@ -1882,15 +1850,13 @@ mod tests {
         client.hello("alice");
         client.issue(CommandType::InitC9);
         // Replay the Issue frame by hand, as a retry would.
-        let payload = serde_json::to_vec(&WireFrame {
-            id: 1,
-            body: WireRequest::Issue {
+        client.send(
+            1,
+            &WireRequest::Issue {
                 deadline_ms: 0,
                 command: Command::nullary(CommandType::InitC9),
             },
-        })
-        .unwrap();
-        client.transport.send(FrameCodec::encode(&payload)).unwrap();
+        );
         let replay = client.await_reply(1);
         assert!(matches!(replay, WireReply::Done { .. }));
         assert_eq!(server.stats().dedup_hits(), 1);

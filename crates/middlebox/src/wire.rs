@@ -1,26 +1,17 @@
-//! The binary wire codec — the hot-path encoding of the lab protocol.
+//! The wire codec: the one encoding of every framed lab message.
 //!
-//! PR 8's socket service speaks JSON for every frame, which costs a
-//! `serde_json` encode/decode plus an allocation per command. This
-//! module adds a compact binary form for the four framed message types
-//! ([`RpcRequest`]/[`RpcResponse`] and the server's
-//! [`WireFrame`]/[`ReplyFrame`]), reusing the segment store's proven
-//! primitive codecs: LEB128 varints for ids and counts, the dense
-//! [`CommandType::token_id`] dictionary for command mnemonics, the
-//! tagged binary [`Value`] codec for arguments, and a CRC32 trailer so
-//! corruption is caught at the frame boundary.
-//!
-//! # Self-describing frames
-//!
-//! Every binary payload starts with the version tag [`BINARY_TAG`]
-//! (`0xB1`). JSON payloads always start with `{` (`0x7B`), so a single
-//! leading byte distinguishes the codecs and every decoder here falls
-//! back to JSON transparently. That is the whole negotiation story:
-//! handshake and control frames (`Hello`, `BeginRun`, `Bye`, …) stay
-//! JSON forever, old clients keep working unchanged, and a server
-//! replies to each request in the codec the request arrived in — a
-//! client "negotiates" binary simply by sending it after the JSON
-//! `Hello`/`Welcome` exchange. See DESIGN.md §15.
+//! Every frame that crosses a [`Transport`](crate::rpc::Transport)
+//! carries one of four message types ([`RpcRequest`]/[`RpcResponse`]
+//! for the RPC substrate, [`WireFrame`]/[`ReplyFrame`] for the lab
+//! service) in the compact binary form of this module. It reuses the
+//! segment store's proven primitive codecs: LEB128 varints for ids and
+//! counts, the dense [`CommandType::token_id`] dictionary for command
+//! mnemonics, the tagged binary [`Value`] codec for arguments, and a
+//! CRC32 trailer so corruption is caught at the frame boundary. Control frames (`Hello`, `BeginRun`, `EndRun`,
+//! `Bye`, …) use the same encoding as the `Issue` hot path; there is
+//! no second codec and nothing to negotiate. JSON stays the format of
+//! documents (scenarios, exports, checkpoints), never of frames. See
+//! DESIGN.md §15.
 //!
 //! # Frame layout
 //!
@@ -29,13 +20,12 @@
 //!   │      │       │        └ CRC32 over everything before the trailer
 //!   │      │       └ message-specific body (varints / tagged values)
 //!   │      └ 1=RpcRequest 2=RpcResponse 3=WireFrame 4=ReplyFrame
-//!   └ version tag (distinguishes binary from JSON's `{`)
+//!   └ version tag
 //! ```
 //!
-//! Truncated input, a bad CRC, an unknown tag, or trailing garbage all
-//! decode to `Err` — never a panic — and the transport layers treat
-//! that exactly as they treat malformed JSON today (skip the frame,
-//! let retry/idempotency recover).
+//! Truncated input, a bad CRC, a wrong version or message tag, or
+//! trailing garbage all decode to `Err`, never a panic. The transport
+//! layers skip such a frame and let retry plus idempotency recover.
 //!
 //! # Examples
 //!
@@ -47,7 +37,7 @@
 //! let command = Command::new(CommandType::Move, vec![Value::Float(0.5)]);
 //! let mut buf = Vec::new();
 //! wire::encode_rpc_request(&mut buf, 7, &command);
-//! assert!(wire::is_binary(&buf));
+//! assert_eq!(buf[0], wire::BINARY_TAG);
 //! let back = wire::decode_rpc_request(&buf)?;
 //! assert_eq!(back, RpcRequest { id: 7, command });
 //! # Ok::<(), String>(())
@@ -60,38 +50,16 @@ use rad_store::wal::crc32;
 use crate::rpc::{RpcRequest, RpcResponse};
 use crate::server::{ReplyFrame, WireFrame, WireReply, WireRequest};
 
-/// Version tag opening every binary frame payload. JSON payloads open
-/// with `{` (`0x7B`), so the first byte alone routes the decoder.
+/// Version tag opening every frame payload.
 pub const BINARY_TAG: u8 = 0xB1;
 
-/// Which encoding a session speaks on its data plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The frame encoding. Binary is the only one; this type exists only
+/// because `radbench/src/lab.rs` names it when it calls
+/// `RemoteSession::connect_with`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireCodecKind {
-    /// The PR 8 JSON wire — the default, and the only control-plane
-    /// codec.
-    #[default]
-    Json,
     /// The binary frame codec of this module.
     Binary,
-}
-
-impl WireCodecKind {
-    /// Parses the spec/CLI form (`"json"` / `"binary"`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "json" => Some(WireCodecKind::Json),
-            "binary" => Some(WireCodecKind::Binary),
-            _ => None,
-        }
-    }
-
-    /// The spec/CLI name of this codec.
-    pub const fn as_name(self) -> &'static str {
-        match self {
-            WireCodecKind::Json => "json",
-            WireCodecKind::Binary => "binary",
-        }
-    }
 }
 
 /// Message tags (second payload byte).
@@ -100,11 +68,6 @@ mod msg {
     pub const RPC_RESPONSE: u8 = 2;
     pub const WIRE_FRAME: u8 = 3;
     pub const REPLY_FRAME: u8 = 4;
-}
-
-/// Whether a frame payload is binary-coded (as opposed to JSON).
-pub fn is_binary(frame: &[u8]) -> bool {
-    frame.first() == Some(&BINARY_TAG)
 }
 
 fn begin(out: &mut Vec<u8>, tag: u8) -> usize {
@@ -328,6 +291,9 @@ fn open(frame: &[u8], expect_tag: u8) -> Result<&[u8], String> {
             "frame crc mismatch: stored {stored:08x}, computed {actual:08x}"
         ));
     }
+    if body[0] != BINARY_TAG {
+        return Err(format!("unknown version tag {:#04x}", body[0]));
+    }
     if body[1] != expect_tag {
         return Err(format!(
             "expected message tag {expect_tag}, got {}",
@@ -337,17 +303,13 @@ fn open(frame: &[u8], expect_tag: u8) -> Result<&[u8], String> {
     Ok(&body[2..])
 }
 
-/// Decodes an [`RpcRequest`] from either codec: binary when the frame
-/// opens with [`BINARY_TAG`], JSON otherwise.
+/// Decodes an [`RpcRequest`].
 ///
 /// # Errors
 ///
-/// Returns a message on truncation, CRC mismatch, unknown tags, or
-/// malformed JSON — callers skip the frame, as they do today.
+/// Returns a message on truncation, CRC mismatch, unknown tags or
+/// trailing bytes; callers skip the frame.
 pub fn decode_rpc_request(frame: &[u8]) -> Result<RpcRequest, String> {
-    if !is_binary(frame) {
-        return serde_json::from_slice(frame).map_err(|e| format!("bad json request: {e:?}"));
-    }
     let body = open(frame, msg::RPC_REQUEST)?;
     let mut r = ByteReader::new(body);
     let id = r.varint()?;
@@ -356,15 +318,12 @@ pub fn decode_rpc_request(frame: &[u8]) -> Result<RpcRequest, String> {
     Ok(RpcRequest { id, command })
 }
 
-/// Decodes an [`RpcResponse`] from either codec.
+/// Decodes an [`RpcResponse`].
 ///
 /// # Errors
 ///
 /// As [`decode_rpc_request`].
 pub fn decode_rpc_response(frame: &[u8]) -> Result<RpcResponse, String> {
-    if !is_binary(frame) {
-        return serde_json::from_slice(frame).map_err(|e| format!("bad json response: {e:?}"));
-    }
     let body = open(frame, msg::RPC_RESPONSE)?;
     let mut r = ByteReader::new(body);
     let id = r.varint()?;
@@ -377,15 +336,12 @@ pub fn decode_rpc_response(frame: &[u8]) -> Result<RpcResponse, String> {
     Ok(RpcResponse { id, result })
 }
 
-/// Decodes a [`WireFrame`] from either codec.
+/// Decodes a [`WireFrame`].
 ///
 /// # Errors
 ///
 /// As [`decode_rpc_request`].
 pub fn decode_wire_frame(frame: &[u8]) -> Result<WireFrame, String> {
-    if !is_binary(frame) {
-        return serde_json::from_slice(frame).map_err(|e| format!("bad json frame: {e:?}"));
-    }
     let body = open(frame, msg::WIRE_FRAME)?;
     let mut r = ByteReader::new(body);
     let id = r.varint()?;
@@ -416,15 +372,12 @@ pub fn decode_wire_frame(frame: &[u8]) -> Result<WireFrame, String> {
     Ok(WireFrame { id, body: request })
 }
 
-/// Decodes a [`ReplyFrame`] from either codec.
+/// Decodes a [`ReplyFrame`].
 ///
 /// # Errors
 ///
 /// As [`decode_rpc_request`].
 pub fn decode_reply_frame(frame: &[u8]) -> Result<ReplyFrame, String> {
-    if !is_binary(frame) {
-        return serde_json::from_slice(frame).map_err(|e| format!("bad json reply: {e:?}"));
-    }
     let body = open(frame, msg::REPLY_FRAME)?;
     let mut r = ByteReader::new(body);
     let id = r.varint()?;
@@ -480,7 +433,6 @@ mod tests {
         let command = sample_command();
         let mut buf = Vec::new();
         encode_rpc_request(&mut buf, 42, &command);
-        assert!(is_binary(&buf));
         let back = decode_rpc_request(&buf).unwrap();
         assert_eq!(back, RpcRequest { id: 42, command });
     }
@@ -578,17 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn json_frames_fall_back_transparently() {
-        let frame = WireFrame {
-            id: 3,
-            body: WireRequest::Sync,
-        };
-        let json = serde_json::to_vec(&frame).unwrap();
-        assert!(!is_binary(&json));
-        assert_eq!(decode_wire_frame(&json).unwrap(), frame);
-    }
-
-    #[test]
     fn corruption_and_truncation_are_rejected() {
         let mut buf = Vec::new();
         encode_rpc_request(&mut buf, 1, &sample_command());
@@ -598,8 +539,6 @@ mod tests {
         for bit in 0..(buf.len() * 8) {
             let mut flipped = buf.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            // A flip of the version tag's bits may turn the frame into
-            // "JSON", which then fails JSON parsing — either way, Err.
             assert!(decode_rpc_request(&flipped).is_err(), "bit {bit}");
         }
     }
@@ -610,14 +549,11 @@ mod tests {
         encode_rpc_request(&mut buf, 1, &sample_command());
         assert!(decode_rpc_response(&buf).is_err());
         assert!(decode_wire_frame(&buf).is_err());
-    }
-
-    #[test]
-    fn codec_kind_names_round_trip() {
-        for kind in [WireCodecKind::Json, WireCodecKind::Binary] {
-            assert_eq!(WireCodecKind::from_name(kind.as_name()), Some(kind));
-        }
-        assert_eq!(WireCodecKind::from_name("protobuf"), None);
-        assert_eq!(WireCodecKind::default(), WireCodecKind::Json);
+        // A wrong version tag is rejected even under a valid CRC.
+        let body_len = buf.len() - 4;
+        buf[0] = b'{';
+        let crc = crc32(&buf[..body_len]);
+        buf[body_len..].copy_from_slice(&crc.to_le_bytes());
+        assert!(decode_rpc_request(&buf).is_err());
     }
 }

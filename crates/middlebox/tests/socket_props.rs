@@ -15,7 +15,9 @@ use std::os::unix::net::UnixListener;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
-use rad_middlebox::rpc::{Duplex, FrameCodec, Transport};
+use rad_core::{Command, CommandType, RadError, Value};
+use rad_devices::LabRig;
+use rad_middlebox::rpc::{Duplex, FrameCodec, RpcClient, RpcServer, Transport};
 use rad_middlebox::SocketTransport;
 
 /// Cuts `stream` into pieces following the cyclic `splits` schedule
@@ -194,4 +196,43 @@ proptest! {
         let socket_err = socket_err.expect("socket codec must poison too");
         prop_assert_eq!(socket_err, reference);
     }
+}
+
+/// Calls `command` on an [`RpcServer`] across `client`/`server`.
+fn rpc_round_trip<T>(client: T, server: T, command: &Command) -> Result<Value, RadError>
+where
+    T: Transport + Send + 'static,
+{
+    let rig = RpcServer::spawn(LabRig::new(0), server);
+    let mut client = RpcClient::new(client);
+    let result = client.call(command, std::time::Duration::from_secs(10));
+    drop(client);
+    rig.join().expect("server thread");
+    result
+}
+
+/// A request frame larger than one 64 KiB socket read reaches the
+/// server in several chunks; `RpcServer` and `RpcClient` must keep the
+/// partial frame between reads and answer exactly as over [`Duplex`].
+#[test]
+fn rpc_request_spanning_several_socket_reads_round_trips() {
+    let command = Command::new(CommandType::Mvng, vec![Value::Str("x".repeat(200 * 1024))]);
+    let (a, b) = Duplex::pair();
+    let reference = rpc_round_trip(a, b, &command);
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local_addr").to_string();
+    let client = SocketTransport::connect_tcp(&addr).expect("connect");
+    let (conn, _) = listener.accept().expect("accept");
+    let server = SocketTransport::tcp(conn).expect("wrap");
+    let over_tcp = rpc_round_trip(client, server, &command);
+
+    assert!(
+        !matches!(
+            over_tcp,
+            Err(RadError::RpcTimeout(_) | RadError::RpcDisconnected(_))
+        ),
+        "the call must be answered over TCP, got {over_tcp:?}"
+    );
+    assert_eq!(over_tcp, reference);
 }

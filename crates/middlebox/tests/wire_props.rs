@@ -1,15 +1,13 @@
-//! Property tests on the binary wire codec.
+//! Property tests on the wire codec.
 //!
-//! Four invariants, each under randomized messages:
+//! Three invariants, each under randomized messages:
 //!
-//! 1. every message type round-trips through its binary encoding
-//!    exactly — ids, commands, values, labels, procedures included;
-//! 2. JSON payloads decode through the same entry points (the
-//!    self-describing first byte keeps old clients working);
-//! 3. any strict prefix of a binary frame is rejected with a typed
-//!    error — never a panic, never a partial message;
-//! 4. a single flipped bit anywhere in a binary frame is rejected
-//!    (CRC32 catches all single-bit damage).
+//! 1. every message type round-trips through its encoding exactly —
+//!    ids, commands, values, labels, procedures included;
+//! 2. any strict prefix of a frame is rejected with a typed error —
+//!    never a panic, never a partial message;
+//! 3. a single flipped bit anywhere in a frame is rejected (CRC32
+//!    catches all single-bit damage).
 //!
 //! Case counts honour `PROPTEST_CASES` (the CI wire-conformance job
 //! raises it to 512).
@@ -17,7 +15,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rad_core::{AnomalyCause, Command, CommandType, Label, ProcedureKind, Value};
-use rad_middlebox::server::{WireFrame, WireReply, WireRequest};
+use rad_middlebox::server::{WireReply, WireRequest};
 use rad_middlebox::wire;
 
 fn leaf_value() -> BoxedStrategy<Value> {
@@ -176,31 +174,6 @@ proptest! {
         prop_assert_eq!(&decoded.body, &reply);
     }
 
-    /// The JSON fallback: a payload serialized by the old client
-    /// decodes through the same entry point, bit-for-bit equal.
-    #[test]
-    fn json_payloads_decode_through_the_same_entry_points(
-        id in any::<u64>(),
-        body in wire_request(),
-        reply in wire_reply(),
-    ) {
-        let json = serde_json::to_vec(&WireFrame { id, body: body.clone() }).unwrap();
-        let decoded = wire::decode_wire_frame(&json)
-            .map_err(|e| TestCaseError::fail(format!("JSON frame rejected: {e}")))?;
-        prop_assert_eq!(decoded.id, id);
-        prop_assert_eq!(&decoded.body, &body);
-
-        let json = serde_json::to_vec(&rad_middlebox::server::ReplyFrame {
-            id,
-            body: reply.clone(),
-        })
-        .unwrap();
-        let decoded = wire::decode_reply_frame(&json)
-            .map_err(|e| TestCaseError::fail(format!("JSON reply rejected: {e}")))?;
-        prop_assert_eq!(decoded.id, id);
-        prop_assert_eq!(&decoded.body, &reply);
-    }
-
     /// Every strict prefix of a binary frame is rejected — never a
     /// panic, never a partial decode.
     #[test]
@@ -220,8 +193,7 @@ proptest! {
     }
 
     /// A single flipped bit anywhere in a binary frame is rejected:
-    /// the CRC32 trailer catches all single-bit damage, and a damaged
-    /// codec tag falls back to (failing) JSON.
+    /// the CRC32 trailer catches all single-bit damage.
     #[test]
     fn single_bit_flips_are_rejected(
         id in any::<u64>(),

@@ -12,9 +12,8 @@
 //! radd campaign --tcp 127.0.0.1:7171 --tenant alice --seed 42 --max-commands 200
 //! ```
 //!
-//! The campaign's hot path defaults to lock-step JSON; `--codec
-//! binary` switches the issue data plane to the columnar binary
-//! frames and `--pipeline N` keeps up to N requests in flight.
+//! The campaign drives lock-step by default; `--pipeline N` keeps up
+//! to N issue requests in flight.
 //!
 //! The server runs until stdin closes or a `quit` line arrives, then
 //! drains gracefully: accepting stops, in-flight sessions finish,
@@ -34,7 +33,7 @@ use rad_middlebox::rpc::RetryPolicy;
 use rad_middlebox::server::{
     LabService, ServerConfig, ServerHandle, SinkFactory, SocketTransport, TenantSinkStack,
 };
-use rad_middlebox::{DurableSink, WireCodecKind};
+use rad_middlebox::DurableSink;
 use rad_store::{DurableOptions, DurableStore};
 use rad_workloads::cli::{has, opt, parse};
 use rad_workloads::{
@@ -52,8 +51,7 @@ fn main() {
             eprintln!("                [--max-sessions N] [--backlog N] [--idle-timeout-ms N]");
             eprintln!("                [--detect]");
             eprintln!("  radd campaign --tcp ADDR | --unix PATH --tenant NAME [--seed S]");
-            eprintln!("                [--max-commands N] [--degrade]");
-            eprintln!("                [--codec json|binary] [--pipeline N]");
+            eprintln!("                [--max-commands N] [--degrade] [--pipeline N]");
             2
         }
     };
@@ -214,21 +212,10 @@ fn campaign(args: &[String]) -> i32 {
     } else {
         DisconnectPolicy::Fail
     };
-    let codec = match opt(args, "--codec").as_deref() {
-        None => WireCodecKind::Json,
-        Some(name) => match WireCodecKind::from_name(name) {
-            Some(kind) => kind,
-            None => {
-                eprintln!("radd: unknown --codec {name} (accepted: json, binary)");
-                return 2;
-            }
-        },
-    };
     let depth: usize = parse("radd", args, "--pipeline", 1);
     let drive = RemoteCampaign::new(script, &tenant)
         .with_policy(policy)
         .on_disconnect(disconnect)
-        .with_codec(codec)
         .with_pipeline_depth(depth)
         .resume_from(transport);
     match drive {

@@ -29,9 +29,8 @@ use rad_core::{
 };
 use rad_devices::LabRig;
 use rad_middlebox::rpc::{FrameCodec, RetryPolicy, Transport};
-use rad_middlebox::server::{WireFrame, WireReply, WireRequest};
+use rad_middlebox::server::{WireReply, WireRequest};
 use rad_middlebox::wire::{self, WireCodecKind};
-use serde::Serialize;
 
 use crate::campaign::CampaignBuilder;
 
@@ -164,7 +163,6 @@ impl CampaignScript {
 pub struct RemoteSession<T: Transport> {
     transport: T,
     codec: FrameCodec,
-    codec_kind: WireCodecKind,
     next_id: u64,
     policy: RetryPolicy,
     cursor: u64,
@@ -181,27 +179,9 @@ impl<T: Transport> RemoteSession<T> {
     /// [`RadError::Overloaded`] when admission keeps failing past the
     /// policy's attempts; transport errors pass through.
     pub fn connect(transport: T, tenant: &str, policy: RetryPolicy) -> Result<Self, RadError> {
-        Self::connect_with(transport, tenant, policy, WireCodecKind::Json)
-    }
-
-    /// [`RemoteSession::connect`] with an explicit data-plane codec.
-    /// The handshake and control frames always travel as JSON; `codec`
-    /// selects the encoding of the pipelined `Issue` hot path (every
-    /// frame is self-describing, so no negotiation round-trip exists).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RemoteSession::connect`].
-    pub fn connect_with(
-        transport: T,
-        tenant: &str,
-        policy: RetryPolicy,
-        codec_kind: WireCodecKind,
-    ) -> Result<Self, RadError> {
         let mut session = RemoteSession {
             transport,
             codec: FrameCodec::new(),
-            codec_kind,
             next_id: 0,
             policy,
             cursor: 0,
@@ -218,44 +198,51 @@ impl<T: Transport> RemoteSession<T> {
         }
     }
 
+    /// [`RemoteSession::connect`]. The codec argument names the one
+    /// frame encoding; this form exists only because
+    /// `radbench/src/lab.rs` calls it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`RemoteSession::connect`].
+    pub fn connect_with(
+        transport: T,
+        tenant: &str,
+        policy: RetryPolicy,
+        _codec: WireCodecKind,
+    ) -> Result<Self, RadError> {
+        Self::connect(transport, tenant, policy)
+    }
+
     /// The tenant's executed-issue count at connect time — how many
     /// commands a resumed campaign must skip.
     pub fn cursor(&self) -> u64 {
         self.cursor
     }
 
-    /// Executes one command remotely. Device faults come back as the
-    /// logged exception string, like the in-process trace records them.
+    /// Executes one command remotely: [`RemoteSession::issue_pipelined`]
+    /// with a one-command batch. Device faults come back as the logged
+    /// exception string, like the in-process trace records them.
     ///
     /// # Errors
     ///
     /// Transport and protocol failures; the command itself failing is
     /// the `Err` arm of the *inner* result.
     pub fn issue(&mut self, command: &Command) -> Result<Result<Value, String>, RadError> {
-        let deadline_ms = u64::try_from(self.policy.attempt_timeout.as_millis()).unwrap_or(0);
-        match self.request(WireRequest::Issue {
-            deadline_ms,
-            command: command.clone(),
-        })? {
-            WireReply::Done {
-                value: Some(value),
-                fault: None,
-            } => Ok(Ok(value)),
-            WireReply::Done {
-                fault: Some(fault), ..
-            } => Ok(Err(fault)),
-            other => Err(RadError::Rpc(format!("expected Done, got {other:?}"))),
+        match self.issue_pipelined(&[command], 1) {
+            Ok(mut results) => Ok(results.pop().expect("one command, one result")),
+            Err(PipelineError { error, .. }) => Err(error),
         }
     }
 
     /// Executes a batch of commands with up to `depth` requests in
-    /// flight: the window is topped up with one coalesced write +
-    /// flush, replies are reconciled head-of-line against their
-    /// correlation ids, and a retryable failure re-sends *every*
-    /// pending request in one chunk — the ids double as idempotency
-    /// tokens, so the server replays cached replies instead of
-    /// re-executing. Device faults come back in-order as the inner
-    /// `Err` arm, exactly like [`RemoteSession::issue`].
+    /// flight (depth 1 is lock-step): the window is topped up with one
+    /// coalesced write + flush, replies are reconciled head-of-line
+    /// against their correlation ids, and a retryable failure re-sends
+    /// *every* pending request in one chunk — the ids double as
+    /// idempotency tokens, so the server replays cached replies instead
+    /// of re-executing. Device faults come back in-order as the inner
+    /// `Err` arm.
     ///
     /// # Errors
     ///
@@ -349,25 +336,11 @@ impl<T: Transport> RemoteSession<T> {
         Ok(results)
     }
 
-    /// Appends one framed `Issue` request to the scratch buffer in the
-    /// session's data-plane codec, borrowing the command — no
-    /// per-issue clone on either path.
+    /// Appends one framed `Issue` request to the scratch buffer,
+    /// borrowing the command — no per-issue clone.
     fn encode_issue(&mut self, id: u64, deadline_ms: u64, command: &Command) {
         let start = FrameCodec::begin_frame(&mut self.scratch);
-        match self.codec_kind {
-            WireCodecKind::Binary => {
-                wire::encode_issue_frame(&mut self.scratch, id, deadline_ms, command);
-            }
-            WireCodecKind::Json => {
-                let payload = serde_json::to_vec(&IssueFrameRef {
-                    id,
-                    deadline_ms,
-                    command,
-                })
-                .expect("issue frames always serialize");
-                self.scratch.extend_from_slice(&payload);
-            }
-        }
+        wire::encode_issue_frame(&mut self.scratch, id, deadline_ms, command);
         FrameCodec::finish_frame(&mut self.scratch, start);
     }
 
@@ -461,9 +434,11 @@ impl<T: Transport> RemoteSession<T> {
     fn request(&mut self, body: WireRequest) -> Result<WireReply, RadError> {
         let id = self.next_id;
         self.next_id += 1;
-        let payload = serde_json::to_vec(&WireFrame { id, body })
-            .map_err(|e| RadError::Rpc(format!("encode failure: {e}")))?;
-        let framed = FrameCodec::encode(&payload);
+        let mut frame = Vec::new();
+        let start = FrameCodec::begin_frame(&mut frame);
+        wire::encode_wire_frame(&mut frame, id, &body);
+        FrameCodec::finish_frame(&mut frame, start);
+        let framed = Bytes::from(frame);
         let overall_deadline = Instant::now() + self.policy.deadline;
         let mut last_err = RadError::RpcTimeout("no response before deadline".into());
         for attempt in 0..self.policy.max_attempts.max(1) {
@@ -490,8 +465,6 @@ impl<T: Transport> RemoteSession<T> {
         loop {
             match self.codec.next_frame() {
                 Ok(Some(frame)) => {
-                    // Self-describing payloads: binary replies carry
-                    // the codec tag, anything else decodes as JSON.
                     let Ok(reply) = wire::decode_reply_frame(&frame) else {
                         // Corrupt reply: treated as lost; the retry
                         // machinery re-requests under the same token.
@@ -541,35 +514,6 @@ pub struct PipelineError {
     pub error: RadError,
 }
 
-/// Borrowed `Issue` frame serializing byte-identically to
-/// `WireFrame { id, body: WireRequest::Issue { deadline_ms, command } }`
-/// without cloning the command (the derive shim rejects lifetimes, so
-/// the externally-tagged shape is spelled out by hand; a test pins
-/// the equivalence).
-struct IssueFrameRef<'a> {
-    id: u64,
-    deadline_ms: u64,
-    command: &'a Command,
-}
-
-impl Serialize for IssueFrameRef<'_> {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            ("id".to_owned(), self.id.to_content()),
-            (
-                "body".to_owned(),
-                serde::Content::Map(vec![(
-                    "Issue".to_owned(),
-                    serde::Content::Map(vec![
-                        ("deadline_ms".to_owned(), self.deadline_ms.to_content()),
-                        ("command".to_owned(), self.command.to_content()),
-                    ]),
-                )]),
-            ),
-        ])
-    }
-}
-
 /// What one [`RemoteCampaign`] drive observed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriveReport {
@@ -596,7 +540,6 @@ pub struct RemoteCampaign {
     tenant: String,
     policy: RetryPolicy,
     disconnect: DisconnectPolicy,
-    codec: WireCodecKind,
     pipeline_depth: usize,
 }
 
@@ -608,7 +551,6 @@ impl RemoteCampaign {
             tenant: tenant.to_string(),
             policy: RetryPolicy::default(),
             disconnect: DisconnectPolicy::Fail,
-            codec: WireCodecKind::Json,
             pipeline_depth: 1,
         }
     }
@@ -627,20 +569,10 @@ impl RemoteCampaign {
         self
     }
 
-    /// Selects the data-plane codec ([`WireCodecKind::Json`] by
-    /// default). Binary engages the pipelined issue path even at
-    /// depth 1.
-    #[must_use]
-    pub fn with_codec(mut self, codec: WireCodecKind) -> Self {
-        self.codec = codec;
-        self
-    }
-
     /// Sets the pipelining window: how many `Issue` requests ride the
-    /// wire before the first reply is awaited. Depth 1 with the JSON
-    /// codec is the classic lock-step drive; anything else batches
-    /// consecutive script commands through
-    /// [`RemoteSession::issue_pipelined`].
+    /// wire before the first reply is awaited. Consecutive script
+    /// commands batch through [`RemoteSession::issue_pipelined`] at
+    /// this depth; the default, 1, is the lock-step drive.
     #[must_use]
     pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
         self.pipeline_depth = depth.max(1);
@@ -674,17 +606,16 @@ impl RemoteCampaign {
     /// [`DisconnectPolicy::Fail`] stops with `report.error` set so the
     /// caller can reconnect and resume.
     pub fn resume_from<T: Transport>(&self, transport: T) -> Result<DriveReport, RadError> {
-        let session =
-            RemoteSession::connect_with(transport, &self.tenant, self.policy.clone(), self.codec)?;
-        if self.pipeline_depth <= 1 && self.codec == WireCodecKind::Json {
-            self.drive_lock_step(session)
-        } else {
-            self.drive_pipelined(session)
-        }
+        let session = RemoteSession::connect(transport, &self.tenant, self.policy.clone())?;
+        self.drive_pipelined(session)
     }
 
-    /// The classic drive: one round-trip per script step.
-    fn drive_lock_step<T: Transport>(
+    /// The drive loop: consecutive command steps batch through
+    /// [`RemoteSession::issue_pipelined`]; run boundaries flush the
+    /// batch first, so the server observes the same step order at every
+    /// depth — the golden suite pins the exports byte-identical to the
+    /// in-process middlebox at depths 1, 8 and 32.
+    fn drive_pipelined<T: Transport>(
         &self,
         mut session: RemoteSession<T>,
     ) -> Result<DriveReport, RadError> {
@@ -698,122 +629,6 @@ impl RemoteCampaign {
         };
         // The local shadow rig mirrors every command so degraded mode
         // picks up with consistent device state.
-        let mut shadow = LabRig::new(0);
-        let mut issued = 0u64;
-        let mut open_run: Option<(u32, ProcedureKind, Label)> = None;
-        let mut resumed_open_run = cursor == 0;
-        let mut degraded = false;
-        for step in self.script.steps() {
-            match step {
-                ScriptStep::Begin {
-                    run,
-                    procedure,
-                    label,
-                } => {
-                    open_run = Some((*run, *procedure, *label));
-                    if issued < cursor || degraded {
-                        continue;
-                    }
-                    resumed_open_run = true;
-                    if let Err(e) = session.begin_run(*run, *procedure, *label) {
-                        if self.fold_error(e, &mut report, &mut degraded) {
-                            continue;
-                        }
-                        return Ok(report);
-                    }
-                }
-                ScriptStep::End => {
-                    open_run = None;
-                    if issued < cursor || degraded {
-                        continue;
-                    }
-                    if let Err(e) = session.end_run() {
-                        if self.fold_error(e, &mut report, &mut degraded) {
-                            continue;
-                        }
-                        return Ok(report);
-                    }
-                }
-                ScriptStep::Command(command) => {
-                    // Every command replays on the shadow rig, even the
-                    // skipped prefix — device state must match where
-                    // the dead session left off.
-                    let _ = shadow.execute(command);
-                    if issued < cursor {
-                        issued += 1;
-                        continue;
-                    }
-                    if degraded {
-                        issued += 1;
-                        report
-                            .gaps
-                            .push(self.degraded_gap(command, issued, open_run));
-                        continue;
-                    }
-                    if !resumed_open_run {
-                        // Resuming mid-run: re-open it first. The
-                        // server's BeginRun is idempotent, so this is a
-                        // no-op when the run is still open from the
-                        // killed session.
-                        resumed_open_run = true;
-                        if let Some((run, procedure, label)) = open_run {
-                            if let Err(e) = session.begin_run(run, procedure, label) {
-                                if !self.fold_error(e, &mut report, &mut degraded) {
-                                    return Ok(report);
-                                }
-                            }
-                        }
-                    }
-                    if degraded {
-                        issued += 1;
-                        report
-                            .gaps
-                            .push(self.degraded_gap(command, issued, open_run));
-                        continue;
-                    }
-                    match session.issue(command) {
-                        Ok(_device_result) => {
-                            issued += 1;
-                            report.executed += 1;
-                        }
-                        Err(e) => {
-                            if self.fold_error(e, &mut report, &mut degraded) {
-                                issued += 1;
-                                report
-                                    .gaps
-                                    .push(self.degraded_gap(command, issued, open_run));
-                            } else {
-                                return Ok(report);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !degraded {
-            let _ = session.bye();
-        }
-        report.completed = true;
-        Ok(report)
-    }
-
-    /// The pipelined drive: consecutive command steps batch through
-    /// [`RemoteSession::issue_pipelined`]; run boundaries flush the
-    /// batch first, so the server observes the exact step order of the
-    /// lock-step drive — the golden suite pins the exports
-    /// byte-identical at every depth.
-    fn drive_pipelined<T: Transport>(
-        &self,
-        mut session: RemoteSession<T>,
-    ) -> Result<DriveReport, RadError> {
-        let cursor = session.cursor();
-        let mut report = DriveReport {
-            executed: 0,
-            resumed_at: cursor,
-            gaps: Vec::new(),
-            completed: false,
-            error: None,
-        };
         let mut shadow = LabRig::new(0);
         let mut issued = 0u64;
         let mut open_run: Option<(u32, ProcedureKind, Label)> = None;
@@ -933,10 +748,9 @@ impl RemoteCampaign {
     }
 
     /// Drains the pending command batch through the pipelined window,
-    /// folding a mid-batch failure exactly like the lock-step drive:
-    /// completed commands count as executed, the remainder degrade
-    /// into gaps or stop the drive per the disconnect policy. Returns
-    /// `false` when the drive must stop.
+    /// folding a mid-batch failure: completed commands count as
+    /// executed, the remainder degrade into gaps or stop the drive per
+    /// the disconnect policy. Returns `false` when the drive must stop.
     fn flush_batch<T: Transport>(
         &self,
         session: &mut RemoteSession<T>,
@@ -1165,42 +979,18 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_issue_frame_serializes_identically() {
-        let command = Command::new(
-            CommandType::Move,
-            vec![Value::Float(1.5), Value::Str("axis".into())],
-        );
-        let borrowed = serde_json::to_vec(&IssueFrameRef {
-            id: 7,
-            deadline_ms: 250,
-            command: &command,
-        })
-        .unwrap();
-        let owned = serde_json::to_vec(&WireFrame {
-            id: 7,
-            body: WireRequest::Issue {
-                deadline_ms: 250,
-                command: command.clone(),
-            },
-        })
-        .unwrap();
-        assert_eq!(borrowed, owned, "borrowed frame must match the derive");
-    }
-
-    #[test]
-    fn pipelined_binary_drive_matches_lock_step() {
+    fn pipelined_drive_matches_lock_step() {
         let config = ServerConfig::default();
         let server = LabService::new(config.clone())
             .serve_tcp("127.0.0.1:0")
             .unwrap();
         let addr = server.local_addr().unwrap().to_string();
-        let lock_step = RemoteCampaign::new(tiny_script(), "json")
+        let lock_step = RemoteCampaign::new(tiny_script(), "lock-step")
             .with_policy(fast_policy())
             .drive(rad_middlebox::SocketTransport::connect_tcp(&addr).unwrap())
             .unwrap();
-        let pipelined = RemoteCampaign::new(tiny_script(), "binary")
+        let pipelined = RemoteCampaign::new(tiny_script(), "pipelined")
             .with_policy(fast_policy())
-            .with_codec(WireCodecKind::Binary)
             .with_pipeline_depth(8)
             .drive(rad_middlebox::SocketTransport::connect_tcp(&addr).unwrap())
             .unwrap();
@@ -1220,7 +1010,6 @@ mod tests {
         let script = tiny_script();
         let prefix = RemoteCampaign::new(script.clone().truncated(2), "t")
             .with_policy(fast_policy())
-            .with_codec(WireCodecKind::Binary)
             .with_pipeline_depth(4);
         let first = prefix
             .drive(rad_middlebox::SocketTransport::connect_tcp(&addr).unwrap())
@@ -1228,7 +1017,6 @@ mod tests {
         assert_eq!(first.executed, 2);
         let full = RemoteCampaign::new(script, "t")
             .with_policy(fast_policy())
-            .with_codec(WireCodecKind::Binary)
             .with_pipeline_depth(4);
         let second = full
             .resume_from(rad_middlebox::SocketTransport::connect_tcp(&addr).unwrap())
@@ -1261,7 +1049,6 @@ mod tests {
         );
         let report = RemoteCampaign::new(tiny_script(), "t")
             .with_policy(fast_policy())
-            .with_codec(WireCodecKind::Binary)
             .with_pipeline_depth(8)
             .on_disconnect(DisconnectPolicy::Degrade)
             .drive(transport)

@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use rad_core::{spec, RadError};
 use rad_middlebox::server::SocketTransport;
-use rad_middlebox::{FaultSpec, WireCodecKind};
+use rad_middlebox::FaultSpec;
 use rad_store::export::export_rad_alerted;
 use rad_store::segment::{SegmentOptions, SegmentSet, SegmentWriter};
 use rad_store::DurableSpec;
@@ -81,23 +81,19 @@ pub struct TransportSpec {
     pub addr: Option<String>,
     /// Tenants to drive over the wire (socket modes only).
     pub tenants: Vec<TenantSpec>,
-    /// Data-plane codec for the issue hot path (`"json"` default,
-    /// `"binary"` for the columnar frame encoding; socket modes only).
-    pub codec: WireCodecKind,
     /// In-flight request window for the issue hot path (socket modes
     /// only; 1 — lock-step — when omitted).
     pub pipeline_depth: Option<usize>,
 }
 
 impl TransportSpec {
-    const FIELDS: &'static [&'static str] = &["mode", "addr", "tenants", "codec", "pipeline_depth"];
+    const FIELDS: &'static [&'static str] = &["mode", "addr", "tenants", "pipeline_depth"];
 
     fn in_process() -> Self {
         TransportSpec {
             mode: TransportMode::InProcess,
             addr: None,
             tenants: Vec::new(),
-            codec: WireCodecKind::Json,
             pipeline_depth: None,
         }
     }
@@ -130,15 +126,6 @@ impl TransportSpec {
                     .collect::<Result<Vec<_>, _>>()?
             }
         };
-        let codec = match spec::opt_str(map, ctx, "codec")? {
-            None => WireCodecKind::Json,
-            Some(name) => WireCodecKind::from_name(name).ok_or_else(|| {
-                RadError::spec(
-                    spec::path(ctx, "codec"),
-                    format!("unknown codec `{name}` (accepted: json, binary)"),
-                )
-            })?,
-        };
         let pipeline_depth = match spec::opt_u64(map, ctx, "pipeline_depth")? {
             None => None,
             Some(0) => {
@@ -165,12 +152,6 @@ impl TransportSpec {
                         "addr requires a socket mode (tcp or unix)",
                     ));
                 }
-                if codec != WireCodecKind::Json {
-                    return Err(RadError::spec(
-                        spec::path(ctx, "codec"),
-                        "codec requires a socket mode (tcp or unix)",
-                    ));
-                }
                 if pipeline_depth.is_some() {
                     return Err(RadError::spec(
                         spec::path(ctx, "pipeline_depth"),
@@ -191,7 +172,6 @@ impl TransportSpec {
             mode,
             addr,
             tenants,
-            codec,
             pipeline_depth,
         })
     }
@@ -214,9 +194,6 @@ impl TransportSpec {
                 "tenants".into(),
                 Json::Array(self.tenants.iter().map(TenantSpec::to_json).collect()),
             );
-        }
-        if self.codec != WireCodecKind::Json {
-            map.insert("codec".into(), Json::from(self.codec.as_name()));
         }
         if let Some(depth) = self.pipeline_depth {
             map.insert("pipeline_depth".into(), Json::from(depth as u64));
@@ -708,9 +685,7 @@ fn run_remote(
             TransportMode::Unix => SocketTransport::connect_unix(Path::new(&addr))?,
             TransportMode::InProcess => unreachable!("run_remote is socket-only"),
         };
-        let mut campaign = tenant
-            .to_campaign(script.clone())
-            .with_codec(spec.transport.codec);
+        let mut campaign = tenant.to_campaign(script.clone());
         if let Some(depth) = spec.transport.pipeline_depth {
             campaign = campaign.with_pipeline_depth(depth);
         }

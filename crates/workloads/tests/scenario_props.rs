@@ -20,7 +20,7 @@ use rad_analysis::streaming::AlertPolicy;
 use rad_analysis::{PerplexitySpec, PowerStatsSpec, ThresholdSpec};
 use rad_core::RadError;
 use rad_middlebox::rpc::RetrySpec;
-use rad_middlebox::{FaultProfile, FaultSpec, WireCodecKind};
+use rad_middlebox::{FaultProfile, FaultSpec};
 use rad_store::wal::{CrashPlan, CrashSite, CrashSpec};
 use rad_store::DurableSpec;
 use rad_workloads::remote::DisconnectPolicy;
@@ -173,18 +173,14 @@ fn transport() -> BoxedStrategy<TransportSpec> {
         prop_oneof![Just(TransportMode::Tcp), Just(TransportMode::Unix)],
         proptest::option::of("[a-z0-9:.]{1,16}"),
         proptest::collection::vec(tenant, 1..4),
-        prop_oneof![Just(WireCodecKind::Json), Just(WireCodecKind::Binary)],
         proptest::option::of(1usize..256),
     )
-        .prop_map(
-            |(mode, addr, tenants, codec, pipeline_depth)| TransportSpec {
-                mode,
-                addr,
-                tenants,
-                codec,
-                pipeline_depth,
-            },
-        )
+        .prop_map(|(mode, addr, tenants, pipeline_depth)| TransportSpec {
+            mode,
+            addr,
+            tenants,
+            pipeline_depth,
+        })
         .boxed()
 }
 
@@ -225,7 +221,6 @@ fn scenario() -> BoxedStrategy<ScenarioSpec> {
                     mode: TransportMode::InProcess,
                     addr: None,
                     tenants: Vec::new(),
-                    codec: WireCodecKind::Json,
                     pipeline_depth: None,
                 },
                 replay: window.map(|(start_us, end_us)| rad_workloads::scenario::ReplaySpec {
@@ -313,9 +308,10 @@ proptest! {
         }
     }
 
-    /// The wire knobs parse strictly: a bad codec name, a zero or
-    /// ill-typed pipeline depth, or either knob on an in-process
-    /// scenario is rejected with the knob's dotted path.
+    /// The wire knobs parse strictly: a zero or ill-typed pipeline
+    /// depth, a pipeline depth on an in-process scenario, or a `codec`
+    /// field (frames have one encoding, so there is no codec knob) in
+    /// either mode is rejected with the knob's dotted path.
     #[test]
     fn wire_knobs_are_rejected_with_their_dotted_path(
         choice in 0usize..5,
@@ -329,7 +325,7 @@ proptest! {
             transport.insert("tenants".into(), Json::Array(vec![Json::Object(tenant)]));
             match choice {
                 0 => {
-                    transport.insert("codec".into(), Json::from("protobuf"));
+                    transport.insert("codec".into(), Json::from("binary"));
                     "transport.codec"
                 }
                 1 => {

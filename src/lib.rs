@@ -56,7 +56,7 @@ pub mod prelude {
         CollectingSink, DrainReport, DurableSink, FaultPlan, FaultProfile, FaultStats, Faulty,
         FaultyDuplex, GuardPolicy, GuardedMiddlebox, LabService, LatencyModel, Middlebox,
         MirrorSink, ModeConfig, RpcCluster, ServerConfig, ServerHandle, ShardPlan, SocketTransport,
-        TenantSinkStack, Tracer, WireCodecKind,
+        TenantSinkStack, Tracer,
     };
     pub use rad_power::{
         CurrentProfile, Elbow, PowerBlock, PowerRow, PowerSample, PowerSink, PowerSinkExt,

@@ -1,16 +1,17 @@
-//! The golden suite for the binary pipelined wire (ISSUE PR 10): the
-//! fast path must be *invisible* in the data. Two proofs:
+//! The golden suite for the pipelined wire: the wire must be
+//! *invisible* in the data. Two proofs, each against an in-process
+//! [`Middlebox`] reference that never touches a socket or a codec:
 //!
-//! 1. **Campaign-export equivalence** — the same seeded campaign
-//!    driven lock-step over JSON (the PR 8 wire, the reference) and
-//!    pipelined over the binary codec at depths 1, 8, and 32 leaves a
-//!    byte-identical export in the tenant's sink: `PartialEq` on whole
+//! 1. **Campaign-export equivalence** — the seeded campaign script
+//!    driven over TCP at depths 1 (lock-step), 8 and 32 leaves the
+//!    export the same script leaves when applied step by step to the
+//!    tenant's in-process middlebox: `PartialEq` on whole
 //!    [`TraceObject`]s and [`TraceGap`]s, timestamps included.
 //!
-//! 2. **Fault matrix over the binary wire** — the PR 2 five-profile
+//! 2. **Fault matrix over the pipelined wire** — the five-profile
 //!    conformance matrix (`tests/fault_matrix_tcp.rs`) rerun with the
-//!    client speaking pipelined binary frames: every profile's traces
-//!    and gaps still match the in-process [`Middlebox`] reference.
+//!    client pipelining its frames: every profile's traces and gaps
+//!    still match the in-process reference.
 //!
 //! Both hold because the server's clock is command-count driven and
 //! the fault plan interposes inside the tenant's middlebox — pacing
@@ -21,18 +22,23 @@ use std::sync::Arc;
 
 use rad::prelude::*;
 use rad_middlebox::TenantSinkStack;
+use rad_workloads::ScriptStep;
 
 const SEED: u64 = 42;
 const TENANT: &str = "conformance";
 
-/// A fresh single-tenant lab service whose sink is a shared
-/// [`CollectingSink`]; returns the handle and the sink to read back.
-fn collecting_service(fault_plan: Option<FaultPlan>) -> (ServerHandle, CollectingSink) {
-    let config = ServerConfig {
+fn config(fault_plan: Option<FaultPlan>) -> ServerConfig {
+    ServerConfig {
         seed: SEED,
         fault_plan,
         ..ServerConfig::default()
-    };
+    }
+}
+
+/// A fresh single-tenant lab service whose sink is a shared
+/// [`CollectingSink`]; returns the handle and the sink to read back.
+fn collecting_service(fault_plan: Option<FaultPlan>) -> (ServerHandle, CollectingSink) {
+    let config = config(fault_plan);
     let sink = CollectingSink::new();
     let collected = sink.clone();
     let service = LabService::new(config).with_sink_factory(Arc::new(move |_tenant: &str| {
@@ -50,14 +56,40 @@ fn tcp_transport(handle: &ServerHandle) -> SocketTransport {
     SocketTransport::connect_tcp(&addr).expect("connect tcp")
 }
 
-/// Drives the seeded supervised campaign against a fresh service with
-/// the given codec and pipeline depth, and returns the sink's export.
-fn campaign_export(codec: WireCodecKind, depth: usize) -> (Vec<TraceObject>, Vec<TraceGap>) {
-    let script = CampaignScript::supervised(SEED).truncated(150);
+fn script() -> CampaignScript {
+    CampaignScript::supervised(SEED).truncated(150)
+}
+
+/// The in-process reference: the script applied step by step to the
+/// tenant's middlebox (same derived seed), as the server applies each
+/// frame.
+fn script_in_process() -> (Vec<TraceObject>, Vec<TraceGap>) {
+    let mut mb = Middlebox::new(config(None).tenant_seed(TENANT));
+    for step in script().steps() {
+        match step {
+            ScriptStep::Begin {
+                run,
+                procedure,
+                label,
+            } => mb.begin_run(RunId(*run), *procedure, *label),
+            ScriptStep::End => mb.end_run(),
+            // A device fault is still a trace; the remote drive sees it
+            // as the `Err` arm of its result.
+            ScriptStep::Command(command) => {
+                let _ = mb.issue(command);
+            }
+        }
+    }
+    (mb.traces(), mb.gaps().to_vec())
+}
+
+/// Drives the seeded supervised campaign against a fresh service at
+/// the given pipeline depth, and returns the sink's export.
+fn campaign_export(depth: usize) -> (Vec<TraceObject>, Vec<TraceGap>) {
+    let script = script();
     let expected = script.command_count();
     let (handle, sink) = collecting_service(None);
     let report = RemoteCampaign::new(script, TENANT)
-        .with_codec(codec)
         .with_pipeline_depth(depth)
         .drive(tcp_transport(&handle))
         .expect("drive campaign");
@@ -69,24 +101,24 @@ fn campaign_export(codec: WireCodecKind, depth: usize) -> (Vec<TraceObject>, Vec
 }
 
 #[test]
-fn pipelined_binary_exports_are_byte_identical_to_lock_step_json() {
-    let (want_traces, want_gaps) = campaign_export(WireCodecKind::Json, 1);
-    assert!(!want_traces.is_empty(), "the reference export is non-empty");
+fn pipelined_exports_are_byte_identical_to_the_in_process_middlebox() {
+    let (want_traces, want_gaps) = script_in_process();
+    assert_eq!(want_traces.len(), 150, "the reference traces every command");
     for depth in [1usize, 8, 32] {
-        let (got_traces, got_gaps) = campaign_export(WireCodecKind::Binary, depth);
+        let (got_traces, got_gaps) = campaign_export(depth);
         assert_eq!(
             got_traces, want_traces,
-            "depth {depth}: binary pipelined traces diverge from lock-step JSON"
+            "depth {depth}: traces over the wire diverge from in-process"
         );
         assert_eq!(
             got_gaps, want_gaps,
-            "depth {depth}: binary pipelined gaps diverge from lock-step JSON"
+            "depth {depth}: gaps over the wire diverge from in-process"
         );
     }
 }
 
 // ---------------------------------------------------------------------
-// The PR 2 fault matrix, rerun over the binary pipelined wire.
+// The fault matrix, rerun over the pipelined wire.
 // ---------------------------------------------------------------------
 
 const COMMANDS: u64 = 100;
@@ -140,18 +172,14 @@ fn in_process(config: &ServerConfig, plan: FaultPlan) -> (Vec<TraceObject>, Vec<
     (mb.traces(), mb.gaps().to_vec())
 }
 
-/// Drives the schedule over live TCP in pipelined binary batches,
+/// Drives the schedule over live TCP in pipelined batches,
 /// split at the run boundary so the cursor semantics line up with the
 /// lock-step harness.
 fn over_pipelined_wire(plan: FaultPlan, depth: usize) -> (Vec<TraceObject>, Vec<TraceGap>) {
     let (handle, sink) = collecting_service(Some(plan));
-    let mut session = RemoteSession::connect_with(
-        tcp_transport(&handle),
-        TENANT,
-        RetryPolicy::default(),
-        WireCodecKind::Binary,
-    )
-    .expect("hello");
+    let mut session =
+        RemoteSession::connect(tcp_transport(&handle), TENANT, RetryPolicy::default())
+            .expect("hello");
     session
         .begin_run(1, ProcedureKind::AutomatedSolubilityN9, Label::Benign)
         .expect("begin run");
@@ -179,11 +207,7 @@ fn over_pipelined_wire(plan: FaultPlan, depth: usize) -> (Vec<TraceObject>, Vec<
 #[test]
 fn fault_matrix_over_binary_pipelined_wire_matches_in_process() {
     for (name, plan) in matrix() {
-        let config = ServerConfig {
-            seed: SEED,
-            ..ServerConfig::default()
-        };
-        let (want_traces, want_gaps) = in_process(&config, plan.clone());
+        let (want_traces, want_gaps) = in_process(&config(None), plan.clone());
         for depth in [8usize, 32] {
             let (got_traces, got_gaps) = over_pipelined_wire(plan.clone(), depth);
             assert_eq!(
